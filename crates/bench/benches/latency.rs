@@ -8,7 +8,7 @@
 //!
 //! Every registered algorithm is measured through the same type-erased
 //! [`DynLock`](sync_core::DynLock) token path, so the erased-adapter cost
-//! (one virtual call plus a pooled-node round trip) is a constant added to
+//! (one virtual call plus a node-slot round trip) is a constant added to
 //! every series and relative comparisons match the generic path.
 
 use criterion::{criterion_group, criterion_main, Criterion};

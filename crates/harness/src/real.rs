@@ -314,10 +314,10 @@ where
 /// Reuses the generic measurement loop, instantiated once with
 /// [`registry::AmbientLock`], so every registered algorithm shares one
 /// compiled loop and dispatches per acquisition through the type-erased
-/// adapter. The erased path adds one virtual call and a pooled-node round
-/// trip per acquisition — the same constant for every algorithm, so
-/// cross-algorithm comparisons remain meaningful. Runs serialize on the
-/// process-wide ambient scope.
+/// adapter. The erased path adds one virtual call and one node-slot round
+/// trip (a mask update in the thread's node slots) per acquisition — the
+/// same constant for every algorithm, so cross-algorithm comparisons remain
+/// meaningful. Runs serialize on the process-wide ambient scope.
 pub fn run_real_contention_dyn(id: LockId, config: &RunConfig) -> RunResult {
     let mut result =
         registry::with_ambient(id, || run_real_contention::<registry::AmbientLock>(config));

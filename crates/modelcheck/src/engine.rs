@@ -1293,6 +1293,19 @@ fn worker_loop<S: Send + Sync>(
     }
 }
 
+/// Tells the workers of an exploration to exit.
+///
+/// The store happens under the core mutex: a worker reads `stop` holding it
+/// and releases it only inside `cv.wait`, so the worker either sees the flag
+/// or is already waiting when the notification comes.
+fn signal_stop(stop: &AtomicBool) {
+    {
+        let _g = lock_core();
+        stop.store(true, Ordering::Release);
+    }
+    core().cv.notify_all();
+}
+
 fn wait_done(n: usize) {
     let mut g = lock_core();
     loop {
@@ -1460,8 +1473,7 @@ pub fn explore<S: Send + Sync>(cfg: &Config, scenario: &Scenario<'_, S>) -> Repo
                 break;
             }
         }
-        stop.store(true, Ordering::Release);
-        core().cv.notify_all();
+        signal_stop(&stop);
     });
 
     let (schedules, steps, pruned_hits, sites, full_name) = {
@@ -1509,5 +1521,31 @@ pub fn explore<S: Send + Sync>(cfg: &Config, scenario: &Scenario<'_, S>) -> Repo
         complete,
         sites,
         violation,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A worker that has read `stop == false` under the core mutex must not
+    /// miss the shutdown: the flag may only change while nobody holds it.
+    /// The sleep gives a store that ignores the mutex time to land; a slow
+    /// host can only make this test pass wrongly, never fail wrongly.
+    #[test]
+    fn stop_is_signalled_under_the_core_mutex() {
+        let stop = AtomicBool::new(false);
+        let held = lock_core();
+        std::thread::scope(|s| {
+            let signaller = s.spawn(|| signal_stop(&stop));
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(
+                !stop.load(Ordering::Acquire),
+                "stop was set while a worker could be between its check and its wait"
+            );
+            drop(held);
+            signaller.join().unwrap();
+        });
+        assert!(stop.load(Ordering::Acquire));
     }
 }

@@ -160,9 +160,10 @@ pub struct DynState {
     counter: Data<usize>,
 }
 
-/// MCS behind [`DynLock`]: nodes come from the thread-local node pool and
-/// each thread acquires twice, exercising pool handoff and reuse — the
-/// lost-wakeup surface called out for the checker.
+/// MCS behind [`DynLock`]: nodes live in the worker thread's node slots and
+/// each thread acquires twice, so the second acquisition reuses the first
+/// one's slot with its stale contents — the lost-wakeup surface called out
+/// for the checker.
 pub fn dyn_mcs_pool_scenario(threads: usize) -> Scenario<'static, DynState> {
     Scenario::new("dyn-mcs-pool", move || DynState {
         lock: DynLock::new::<McsLock<ModelAtomics>>(),

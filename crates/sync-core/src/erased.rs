@@ -8,28 +8,28 @@
 //! erased lock with a safe RAII API, so a lock chosen by name at runtime (see
 //! the `registry` crate) can drive any workload through one compiled path.
 //!
-//! Queue nodes are drawn from the per-thread [`node_pool`], exactly like the
-//! safe [`LockMutex`](crate::mutex::LockMutex) wrapper, so the erased hot
-//! path performs no allocation in steady state. The extra cost over the
-//! generic path is one virtual call plus one pooled-box round trip per
-//! acquisition — identical for every algorithm, so relative comparisons
-//! remain meaningful.
+//! Queue nodes live in the calling thread's [node slots](node_pool), exactly
+//! like those of the safe [`LockMutex`](crate::mutex::LockMutex) wrapper, and
+//! the token carries the slot's address, so the erased hot path performs no
+//! allocation and no lookup in steady state. The extra cost over the generic
+//! path is one virtual call per acquisition — identical for every algorithm,
+//! so relative comparisons remain meaningful.
 
-use std::any::{Any, TypeId};
+use std::any::TypeId;
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 
-use crate::node_pool;
+use crate::node_pool::{self, PooledNode};
 use crate::raw::{RawLock, RawTryLock};
 
 /// Opaque receipt for one in-flight erased acquisition.
 ///
-/// Internally this is the address of the pooled queue node backing the
-/// acquisition. It is deliberately `!Send`: the [`RawLock`] contract requires
-/// the acquiring thread to release, and the node returns to that thread's
-/// pool.
+/// Internally this is the tagged address of the queue node backing the
+/// acquisition ([`PooledNode::into_raw`]). It is deliberately `!Send`: the
+/// [`RawLock`] contract requires the acquiring thread to release, and the
+/// node lives in that thread's slots.
 pub struct LockToken {
     ptr: usize,
     _not_send: PhantomData<*mut ()>,
@@ -72,8 +72,9 @@ impl fmt::Debug for LockToken {
 
 /// Object-safe interface over any [`RawLock`] algorithm.
 ///
-/// Implementations manage the per-acquisition queue node internally (pooled,
-/// boxed, address-stable) and hand the caller a [`LockToken`] instead.
+/// Implementations manage the per-acquisition queue node internally (in the
+/// thread's node slots, address-stable) and hand the caller a [`LockToken`]
+/// instead.
 pub trait ErasedLock: Send + Sync {
     /// The wrapped algorithm's [`RawLock::NAME`].
     fn name(&self) -> &'static str;
@@ -127,14 +128,13 @@ pub trait ErasedLock: Send + Sync {
 unsafe fn erased_lock<L>(lock: &L) -> LockToken
 where
     L: RawLock,
-    L::Node: Any,
+    L::Node: 'static,
 {
     let node = node_pool::acquire::<L::Node>();
-    let ptr = Box::into_raw(node);
-    // SAFETY: the node is boxed (stable address) and owned by the token until
-    // the matching unlock, which reconstructs and pools the box.
-    unsafe { lock.lock(&*ptr) };
-    LockToken::new(ptr as usize)
+    // SAFETY: the node stays in place, owned by the token, until the matching
+    // unlock rebuilds the handle and releases it.
+    unsafe { lock.lock(&node) };
+    LockToken::new(node.into_raw())
 }
 
 /// Shared release path of the two adapters below.
@@ -145,14 +145,14 @@ where
 unsafe fn erased_unlock<L>(lock: &L, token: LockToken)
 where
     L: RawLock,
-    L::Node: Any,
+    L::Node: 'static,
 {
-    let ptr = token.into_raw() as *mut L::Node;
-    // SAFETY: the token was produced by `erased_lock`/`erased_try_lock` on
-    // this lock, so `ptr` is the live boxed node of this acquisition.
+    // SAFETY: the token was produced by `erased_lock`/`raw_try_lock` on this
+    // lock and thread, so it carries the live node of this acquisition.
     unsafe {
-        lock.unlock(&*ptr);
-        node_pool::release(Box::from_raw(ptr));
+        let node = PooledNode::<L::Node>::from_raw(token.into_raw());
+        lock.unlock(&node);
+        node_pool::release(node);
     }
 }
 
@@ -162,7 +162,7 @@ struct Erased<L>(L);
 impl<L> ErasedLock for Erased<L>
 where
     L: RawLock + 'static,
-    L::Node: Any,
+    L::Node: 'static,
 {
     fn name(&self) -> &'static str {
         L::NAME
@@ -195,7 +195,7 @@ struct ErasedTry<L>(L);
 impl<L> ErasedLock for ErasedTry<L>
 where
     L: RawTryLock + 'static,
-    L::Node: Any,
+    L::Node: 'static,
 {
     fn name(&self) -> &'static str {
         L::NAME
@@ -215,16 +215,13 @@ where
     }
     unsafe fn raw_try_lock(&self) -> Option<LockToken> {
         let node = node_pool::acquire::<L::Node>();
-        let ptr = Box::into_raw(node);
-        // SAFETY: as in `erased_lock`; on failure the untouched node goes
-        // straight back to the pool, which the contract explicitly allows.
-        unsafe {
-            if self.0.try_lock(&*ptr) {
-                Some(LockToken::new(ptr as usize))
-            } else {
-                node_pool::release(Box::from_raw(ptr));
-                None
-            }
+        // SAFETY: as in `erased_lock`; on failure the untouched node is
+        // released at once, which the contract explicitly allows.
+        if unsafe { self.0.try_lock(&node) } {
+            Some(LockToken::new(node.into_raw()))
+        } else {
+            node_pool::release(node);
+            None
         }
     }
     unsafe fn raw_unlock(&self, token: LockToken) {
@@ -260,7 +257,7 @@ impl DynLock {
     pub fn new<L>() -> Self
     where
         L: RawLock + 'static,
-        L::Node: Any,
+        L::Node: 'static,
     {
         Self::from_lock(L::default())
     }
@@ -270,7 +267,7 @@ impl DynLock {
     pub fn new_try<L>() -> Self
     where
         L: RawTryLock + 'static,
-        L::Node: Any,
+        L::Node: 'static,
     {
         Self::from_try_lock(L::default())
     }
@@ -279,7 +276,7 @@ impl DynLock {
     pub fn from_lock<L>(lock: L) -> Self
     where
         L: RawLock + 'static,
-        L::Node: Any,
+        L::Node: 'static,
     {
         DynLock {
             inner: Box::new(Erased(lock)),
@@ -290,7 +287,7 @@ impl DynLock {
     pub fn from_try_lock<L>(lock: L) -> Self
     where
         L: RawTryLock + 'static,
-        L::Node: Any,
+        L::Node: 'static,
     {
         DynLock {
             inner: Box::new(ErasedTry(lock)),
@@ -524,20 +521,55 @@ mod tests {
     use crate::spinlock::TestAndSetLock;
     use std::sync::Arc;
 
+    /// TAS with a pointer-sized node, so that acquisitions take a slot.
+    #[derive(Default)]
+    struct SlottedTas(TestAndSetLock);
+
+    impl RawLock for SlottedTas {
+        type Node = usize;
+        const NAME: &'static str = "TAS/slotted";
+        unsafe fn lock(&self, _node: &usize) {
+            // SAFETY: forwarded contract; TAS ignores its node.
+            unsafe { self.0.lock(&()) }
+        }
+        unsafe fn unlock(&self, _node: &usize) {
+            // SAFETY: forwarded contract.
+            unsafe { self.0.unlock(&()) }
+        }
+    }
+
     #[test]
     fn erased_lock_roundtrip_reuses_pooled_nodes() {
         let lock = DynLock::new::<TestAndSetLock>();
         assert_eq!(lock.name(), "TAS");
         assert_eq!(lock.lock_type_id(), TypeId::of::<TestAndSetLock>());
-        // Warm the pool, then check steady state keeps at least one node.
-        drop(lock.lock());
-        let pooled = node_pool::pooled_count::<<TestAndSetLock as RawLock>::Node>();
-        drop(lock.lock());
-        assert_eq!(
-            node_pool::pooled_count::<<TestAndSetLock as RawLock>::Node>(),
-            pooled,
-            "steady-state erased acquisitions must not grow the pool"
-        );
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // A zero-sized node takes no slot at all.
+                let guard = lock.lock();
+                assert_eq!(node_pool::busy_slots(), 0);
+                drop(guard);
+
+                let slotted = DynLock::new::<SlottedTas>();
+                let mut addrs = Vec::new();
+                for _ in 0..3 {
+                    // SAFETY: matched pair on one thread.
+                    unsafe {
+                        let token = slotted.raw_lock();
+                        addrs.push(token.ptr);
+                        assert_eq!(node_pool::busy_slots(), 1);
+                        slotted.raw_unlock(token);
+                    }
+                    assert_eq!(node_pool::busy_slots(), 0);
+                    assert_eq!(
+                        node_pool::pooled_count::<usize>(),
+                        1,
+                        "steady-state erased acquisitions must not grow the pool"
+                    );
+                }
+                assert!(addrs.windows(2).all(|w| w[0] == w[1]), "{addrs:x?}");
+            });
+        });
     }
 
     #[test]

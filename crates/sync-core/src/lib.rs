@@ -11,9 +11,10 @@
 //! Queue locks such as MCS and CNA need a per-acquisition *queue node* whose
 //! address other threads hold while the acquisition is in flight. The
 //! [`RawLock`] trait exposes that node explicitly (`type Node`), and the safe
-//! wrapper keeps node addresses stable by drawing boxed nodes from a
-//! per-thread [pool](node_pool), mirroring LiTL's thread-local node arrays
-//! and the kernel's per-CPU `mcs_spinlock` nodes.
+//! wrappers keep node addresses stable by placing each node in one of the
+//! calling thread's fixed [node slots](node_pool), mirroring LiTL's
+//! thread-local node arrays and the kernel's per-CPU `qnodes[4]`. A slot is
+//! taken and freed with a mask update; zero-sized nodes take none.
 //!
 //! # Examples
 //!

@@ -3,8 +3,9 @@
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::ptr;
 
-use crate::node_pool;
+use crate::node_pool::{self, PooledNode};
 use crate::raw::{RawLock, RawTryLock};
 
 /// A mutual-exclusion container generic over the lock algorithm.
@@ -12,8 +13,9 @@ use crate::raw::{RawLock, RawTryLock};
 /// `LockMutex<T, L>` is to this workspace what an interposed
 /// `pthread_mutex_t` is to LiTL: client code holds data behind it and is
 /// oblivious to whether `L` is MCS, CNA, a cohort lock, or a plain
-/// test-and-set lock. Queue nodes are drawn from a thread-local pool, so the
-/// fast path performs no allocation in steady state.
+/// test-and-set lock. Queue nodes live in the calling thread's
+/// [node slots](node_pool), so the fast path performs no allocation in
+/// steady state.
 ///
 /// # Examples
 ///
@@ -66,14 +68,11 @@ where
     /// Acquires the lock, spinning until it is available.
     pub fn lock(&self) -> LockGuard<'_, T, L> {
         let node = node_pool::acquire::<L::Node>();
-        // SAFETY: `node` is boxed (stable address), is used for exactly this
-        // acquisition, and is only returned to the pool after `unlock` runs
-        // in the guard's destructor.
+        // SAFETY: the node's address is stable while its handle lives, it is
+        // used for exactly this acquisition, and it is released only after
+        // `unlock` runs in the guard's destructor.
         unsafe { self.raw.lock(&node) };
-        LockGuard {
-            mutex: self,
-            node: Some(node),
-        }
+        LockGuard { mutex: self, node }
     }
 
     /// Attempts to acquire the lock without blocking.
@@ -82,13 +81,10 @@ where
         L: RawTryLock,
     {
         let node = node_pool::acquire::<L::Node>();
-        // SAFETY: as in `lock`; on failure the node is returned to the pool
-        // untouched, which the contract explicitly allows.
+        // SAFETY: as in `lock`; on failure the node is released untouched,
+        // which the contract explicitly allows.
         if unsafe { self.raw.try_lock(&node) } {
-            Some(LockGuard {
-                mutex: self,
-                node: Some(node),
-            })
+            Some(LockGuard { mutex: self, node })
         } else {
             node_pool::release(node);
             None
@@ -137,14 +133,27 @@ impl<T: ?Sized + fmt::Debug, L: RawLock> fmt::Debug for LockMutex<T, L> {
 }
 
 /// RAII guard returned by [`LockMutex::lock`]; releases the lock on drop.
+///
+/// Like `std::sync::MutexGuard`, the guard is `!Send`: the [`RawLock`]
+/// contract requires the acquiring thread to release, and the queue node
+/// lives in that thread's slots.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<sync_core::LockGuard<'static, u64, sync_core::spinlock::TestAndSetLock>>();
+/// ```
 pub struct LockGuard<'a, T: ?Sized, L: RawLock>
 where
     L::Node: 'static,
 {
     mutex: &'a LockMutex<T, L>,
-    /// Always `Some` until the destructor runs.
-    node: Option<Box<L::Node>>,
+    node: PooledNode<L::Node>,
 }
+
+// SAFETY: a shared guard only hands out `&T` (needs `T: Sync`) and `&Node`
+// (`RawLock::Node: Sync`); releasing needs the guard itself, which stays on
+// the acquiring thread. This mirrors `std::sync::MutexGuard`.
+unsafe impl<T: ?Sized + Sync, L: RawLock> Sync for LockGuard<'_, T, L> where L::Node: 'static {}
 
 impl<T: ?Sized, L: RawLock> Deref for LockGuard<'_, T, L>
 where
@@ -173,11 +182,14 @@ where
     L::Node: 'static,
 {
     fn drop(&mut self) {
-        let node = self.node.take().expect("guard node taken twice");
         // SAFETY: `node` is the node used by the matching `lock`/`try_lock`,
-        // the lock is held by this thread, and this is the only release.
-        unsafe { self.mutex.raw.unlock(&node) };
-        node_pool::release(node);
+        // the lock is held by this thread (the guard is `!Send`), and this is
+        // the only release. The handle has no destructor and is read out of
+        // the field once, here, after its last use.
+        unsafe {
+            self.mutex.raw.unlock(&self.node);
+            node_pool::release(ptr::read(&self.node));
+        }
     }
 }
 
