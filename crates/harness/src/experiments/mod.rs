@@ -1018,8 +1018,8 @@ impl ExperimentSpec {
                 ));
             }
             if self.metric == Metric::LlcMissesPerUs {
-                // The open-loop sim engine does not model per-line ownership,
-                // so it cannot count LLC misses.
+                // The sim's open loop does not model per-line ownership, so
+                // it cannot count LLC misses.
                 return Err(ExperimentError::ModeMetricMismatch {
                     metric: self.metric.name(),
                     mode: self.load.name(),

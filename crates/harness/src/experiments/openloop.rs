@@ -1,6 +1,12 @@
-//! Open-loop machinery shared by both runners: arrival schedules, the
-//! per-run summary, and the discrete-event virtual-time engine behind the
-//! simulator's open-loop mode.
+//! Open-loop machinery shared by both runners:
+//!
+//! * schedule generation ([`request_count`], [`arrival_schedule`]);
+//! * the per-run summary ([`OpenLoopSummary`], [`DepthMeter`]);
+//! * the wall-clock driver of the real-thread runner
+//!   ([`run_wall_clock_open_loop`]);
+//! * [`SimOpenLoop`], the simulator runner's façade over numa-sim's engine
+//!   ([`Simulation::run_schedule`]), which turns its per-request sojourns
+//!   into the same summary.
 //!
 //! An open-loop run is sized by **request count**, not duration: the
 //! schedule always contains between [`MIN_REQUESTS`] and [`MAX_REQUESTS`]
@@ -15,9 +21,8 @@ use std::time::{Duration, Instant};
 
 use rand::{Rng, SeedableRng, SmallRng};
 
-use numa_sim::lock_model::{LockAlgorithm, LockModel, Waiter};
-use numa_sim::rng::SimRng;
-use numa_sim::workload::Step;
+use numa_sim::lock_model::LockAlgorithm;
+use numa_sim::Simulation;
 
 use super::histogram::LatencyHistogram;
 use super::load::Arrival;
@@ -246,326 +251,60 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// The simulator's open-loop engine
+// The simulator's open loop
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    /// Request `i` of the schedule arrives.
-    Arrival(usize),
-    /// Worker `w` finished a non-critical (think) phase.
-    WorkerReady(usize),
-    /// Worker `w` releases `lock`.
-    Release { worker: usize, lock: usize },
-    /// A declined hand-over on `lock` is re-checked (backoff models).
-    Recheck(usize),
-}
-
-#[derive(Debug, PartialEq, Eq)]
-struct Scheduled {
-    time: u64,
-    seq: u64,
-    event: Event,
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-struct SimLock {
-    model: Box<dyn LockModel>,
-    held: bool,
-    holder_socket: usize,
-    last_holder_socket: usize,
-    recheck_pending: bool,
-}
-
-struct SimWorker {
-    socket: usize,
-    /// Index into the arrival schedule of the request being served.
-    request: Option<usize>,
-    steps: Vec<Step>,
-    step_idx: usize,
-    waiting_since: u64,
-}
-
-/// Discrete-event open-loop service simulation: `workers` simulated threads
-/// (placed on the sweep's machine) serve scheduled arrivals, acquiring the
-/// modeled lock around each request's critical section. Virtual-time
-/// counterpart of the real-thread open loop in [`crate::real`]; fully
-/// deterministic per seed.
+/// Open-loop service simulation: `workers` simulated threads on the sweep's
+/// machine serve a schedule's arrivals, taking the modeled lock around each
+/// request's critical section. Virtual-time counterpart of the real-thread
+/// open loop in [`crate::real`], run on numa-sim's engine
+/// ([`Simulation::run_schedule`]); fully deterministic per seed.
 pub struct SimOpenLoop<'a> {
-    sweep: &'a SimSweep,
-    algorithm: LockAlgorithm,
+    simulation: Simulation,
     schedule: &'a [u64],
-    seed: u64,
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<Scheduled>>,
-    seq: u64,
-    locks: Vec<SimLock>,
-    workers: Vec<SimWorker>,
-    idle: Vec<usize>,
-    pending: std::collections::VecDeque<usize>,
-    next_arrival: usize,
-    in_system: u64,
-    depth: DepthMeter,
-    histogram: LatencyHistogram,
-    served_per_worker: Vec<u64>,
-    last_completion: u64,
 }
 
 impl<'a> SimOpenLoop<'a> {
-    /// Builds the engine for `workers` simulated service threads.
+    /// Builds the run for `workers` simulated service threads.
     pub fn new(
-        sweep: &'a SimSweep,
+        sweep: &SimSweep,
         algorithm: LockAlgorithm,
         workers: usize,
         schedule: &'a [u64],
         seed: u64,
     ) -> Self {
-        let locks = sweep
-            .workload
-            .locks
-            .iter()
-            .map(|_| SimLock {
-                model: algorithm.build(
-                    sweep.machine.sockets,
-                    sweep.machine.logical_cpus(),
-                    &sweep.cost,
-                ),
-                held: false,
-                holder_socket: 0,
-                last_holder_socket: 0,
-                recheck_pending: false,
-            })
-            .collect();
-        let workers_vec: Vec<SimWorker> = (0..workers.max(1))
-            .map(|w| SimWorker {
-                socket: sweep.machine.socket_of_thread(w),
-                request: None,
-                steps: Vec::new(),
-                step_idx: 0,
-                waiting_since: 0,
-            })
-            .collect();
-        let idle = (0..workers_vec.len()).rev().collect();
-        SimOpenLoop {
-            sweep,
+        let simulation = Simulation::new(
+            sweep.machine.clone(),
+            sweep.cost,
             algorithm,
+            sweep.workload.clone(),
+        )
+        .threads(workers)
+        .seed(seed);
+        SimOpenLoop {
+            simulation,
             schedule,
-            seed,
-            heap: std::collections::BinaryHeap::new(),
-            seq: 0,
-            locks,
-            served_per_worker: vec![0; workers_vec.len()],
-            workers: workers_vec,
-            idle,
-            pending: std::collections::VecDeque::new(),
-            next_arrival: 0,
-            in_system: 0,
-            depth: DepthMeter::default(),
-            histogram: LatencyHistogram::new(),
-            last_completion: 0,
-        }
-    }
-
-    fn schedule_event(&mut self, time: u64, event: Event) {
-        self.seq += 1;
-        self.heap.push(std::cmp::Reverse(Scheduled {
-            time,
-            seq: self.seq,
-            event,
-        }));
-    }
-
-    /// Pushes the next scheduled arrival (arrivals enter the heap lazily so
-    /// a million-request schedule does not pre-allocate a million events).
-    fn push_next_arrival(&mut self) {
-        if self.next_arrival < self.schedule.len() {
-            let i = self.next_arrival;
-            self.next_arrival += 1;
-            self.schedule_event(self.schedule[i], Event::Arrival(i));
         }
     }
 
     /// Runs every request to completion and summarizes.
-    pub fn run(mut self) -> OpenLoopSummary {
-        self.push_next_arrival();
-        while let Some(std::cmp::Reverse(next)) = self.heap.pop() {
-            match next.event {
-                Event::Arrival(i) => {
-                    self.push_next_arrival();
-                    self.in_system += 1;
-                    self.depth.sample(self.in_system);
-                    if let Some(w) = self.idle.pop() {
-                        self.assign(w, i, next.time);
-                    } else {
-                        self.pending.push_back(i);
-                    }
-                }
-                Event::WorkerReady(w) => self.advance_worker(w, next.time),
-                Event::Release { worker, lock } => self.handle_release(worker, lock, next.time),
-                Event::Recheck(lock) => {
-                    self.locks[lock].recheck_pending = false;
-                    self.try_handover(lock, next.time);
-                }
-            }
+    pub fn run(self) -> OpenLoopSummary {
+        let result = self.simulation.run_schedule(self.schedule);
+        let mut histogram = LatencyHistogram::new();
+        for &sojourn in &result.sojourns_ns {
+            histogram.record(sojourn);
         }
-        debug_assert_eq!(self.in_system, 0, "open-loop sim left requests behind");
-        OpenLoopSummary {
-            histogram: self.histogram,
-            served_per_worker: self.served_per_worker,
-            mean_queue_depth: self.depth.mean(),
-            max_queue_depth: self.depth.max(),
-            elapsed_ns: self.last_completion.max(1),
-        }
-    }
-
-    /// Hands request `i` to worker `w` at time `now`.
-    fn assign(&mut self, w: usize, i: usize, now: u64) {
-        let mut rng = SimRng::new(
-            self.seed
-                .wrapping_add((i as u64).wrapping_mul(104_729))
-                .wrapping_add(self.algorithm.name().len() as u64),
-        );
-        self.workers[w].request = Some(i);
-        self.workers[w].steps = self.sweep.workload.generate_op(&mut rng);
-        self.workers[w].step_idx = 0;
-        self.advance_worker(w, now);
-    }
-
-    /// Executes the worker's current step; on op completion records the
-    /// request's sojourn and pulls the next pending request.
-    fn advance_worker(&mut self, w: usize, now: u64) {
-        loop {
-            if self.workers[w].step_idx >= self.workers[w].steps.len() {
-                // Request complete.
-                let i = self.workers[w]
-                    .request
-                    .take()
-                    .expect("completed worker had no request");
-                let sojourn = now.saturating_sub(self.schedule[i]);
-                self.histogram.record(sojourn);
-                self.served_per_worker[w] += 1;
-                self.in_system -= 1;
-                self.last_completion = self.last_completion.max(now);
-                match self.pending.pop_front() {
-                    Some(next) => {
-                        self.assign(w, next, now);
-                    }
-                    None => self.idle.push(w),
-                }
-                return;
-            }
-            let step = self.workers[w].steps[self.workers[w].step_idx].clone();
-            match step {
-                Step::Think { ns } => {
-                    self.workers[w].step_idx += 1;
-                    if ns == 0 {
-                        continue;
-                    }
-                    self.schedule_event(now + ns, Event::WorkerReady(w));
-                    return;
-                }
-                Step::Critical { lock, .. } => {
-                    if !self.locks[lock].held {
-                        self.grant(w, lock, now, None, 0);
-                    } else {
-                        let waiter = Waiter {
-                            thread: w,
-                            socket: self.workers[w].socket,
-                            arrival_ns: now,
-                        };
-                        self.workers[w].waiting_since = now;
-                        self.locks[lock].model.on_arrival(waiter);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Grants `lock` to worker `w`, charging acquisition, service and
-    /// (socket-sensitive) data-access costs, mirroring the closed-loop
-    /// engine's cost accounting with a whole-region data approximation.
-    fn grant(&mut self, w: usize, lock: usize, now: u64, handover_from: Option<usize>, extra: u64) {
-        let socket = self.workers[w].socket;
-        let (service_ns, reads, writes) = match self.workers[w].steps[self.workers[w].step_idx] {
-            Step::Critical {
-                service_ns,
-                reads,
-                writes,
-                ..
-            } => (service_ns, reads, writes),
-            Step::Think { .. } => unreachable!("grant on a non-critical step"),
+        let depth = DepthMeter {
+            sum: result.depth_sum,
+            samples: result.depth_samples,
+            max: result.depth_max,
         };
-        let cost = &self.sweep.cost;
-        let state = &mut self.locks[lock];
-        let acquire_ns = match handover_from {
-            Some(from) => {
-                // Same oversubscription charge as the closed-loop engine:
-                // hot spinners + the new holder compete for logical CPUs.
-                let runnable = state.model.spinning() + 1;
-                cost.handover_ns(from, socket)
-                    + cost.contended_overhead_ns
-                    + cost.oversubscription_penalty_ns(runnable, self.sweep.machine.logical_cpus())
-            }
-            None => {
-                cost.uncontended_acquire_ns + cost.line_access_ns(state.last_holder_socket, socket)
-            }
-        } + extra;
-        // The protected lines were last written by the previous holder: every
-        // access is local or remote wholesale (the closed-loop engine tracks
-        // individual line owners; the service-time difference is marginal).
-        let data_ns =
-            (reads + writes) as u64 * cost.line_access_ns(state.last_holder_socket, socket);
-        state.held = true;
-        state.holder_socket = socket;
-        let total = acquire_ns + service_ns + data_ns;
-        self.schedule_event(now + total.max(1), Event::Release { worker: w, lock });
-    }
-
-    fn handle_release(&mut self, w: usize, lock: usize, now: u64) {
-        {
-            let state = &mut self.locks[lock];
-            state.held = false;
-            state.last_holder_socket = state.holder_socket;
-        }
-        self.try_handover(lock, now);
-        self.workers[w].step_idx += 1;
-        self.advance_worker(w, now);
-    }
-
-    fn try_handover(&mut self, lock: usize, now: u64) {
-        if self.locks[lock].held {
-            return;
-        }
-        let releaser_socket = self.locks[lock].last_holder_socket;
-        let mut rng = SimRng::new(self.seed ^ now.wrapping_mul(0x9E37_79B9) ^ self.seq);
-        match self.locks[lock].model.pick_next(releaser_socket, &mut rng) {
-            Some(grant) => {
-                self.grant(
-                    grant.waiter.thread,
-                    lock,
-                    now,
-                    Some(releaser_socket),
-                    grant.extra_ns,
-                );
-            }
-            None => {
-                if self.locks[lock].model.has_waiters() && !self.locks[lock].recheck_pending {
-                    self.locks[lock].recheck_pending = true;
-                    let delay = self.locks[lock].model.recheck_delay_ns();
-                    self.schedule_event(now + delay, Event::Recheck(lock));
-                }
-            }
+        OpenLoopSummary {
+            histogram,
+            served_per_worker: result.served_per_worker,
+            mean_queue_depth: depth.mean(),
+            max_queue_depth: depth.max(),
+            elapsed_ns: result.last_completion_ns.max(1),
         }
     }
 }

@@ -12,7 +12,8 @@
 //!    access that crosses sockets costs a remote LLC transfer; one that stays
 //!    on-socket does not.
 //!
-//! Neither can be observed on this build host (one CPU, one socket), so the
+//! Neither can be observed on a host without NUMA hardware (a single-socket
+//! machine or a small VM shows one socket, whatever its CPU count), so the
 //! simulator models both explicitly: lock *policy models* reproduce each
 //! algorithm's admission order, and a [`CostModel`] charges local/remote
 //! latencies for hand-overs and data accesses. Throughput, LLC-miss rates and
@@ -24,6 +25,33 @@
 //! `qspinlock`) are validated separately by their own unit/property tests and
 //! by criterion micro-benchmarks; the simulator's policy models mirror their
 //! hand-over logic at the queue level.
+//!
+//! # Arrival sources
+//!
+//! One discrete-event engine ([`engine`]) runs both loads the evaluation
+//! uses. Its event heap, lock state, grant cost (statistics and the
+//! oversubscription penalty included), release, hand-over and re-check code
+//! are shared; only the arrival source differs.
+//!
+//! * **Closed loop**, [`Simulation::run`]: a thread starts its next op as
+//!   soon as it finishes one, so throughput is the observable.
+//! * **Open loop**, [`Simulation::run_schedule`]: requests arrive at the
+//!   offsets of a precomputed schedule, idle threads take them in FIFO
+//!   order, and per-request sojourn (queueing plus service) is the
+//!   observable. The harness (`harness::experiments::openloop`) generates
+//!   the schedules and turns the sojourns into latency reports.
+//!
+//! The sources differ in five more ways. Each is fixed by the source, not
+//! an option, because it keeps that source's results stable (the
+//! checked-in sim baselines pin them byte for byte):
+//!
+//! | | closed | open |
+//! |---|---|---|
+//! | op seed | `seed + t·7919 + ops·104729` for thread `t` | `seed + i·104729 + name.len()` for request `i` and the algorithm's name |
+//! | hand-over RNG | the engine's RNG | a fresh RNG seeded `seed ^ now·0x9E3779B9 ^ seq` (virtual time, event count) |
+//! | data cost | per cache line, against the line's last writer | the whole region, against the previous holder's socket |
+//! | start | every thread, staggered by 1 ns | the first arrival; later arrivals enter the heap one at a time |
+//! | stop | at the virtual duration | when every request is served |
 //!
 //! # Example
 //!
@@ -58,5 +86,5 @@ pub use cost::CostModel;
 pub use engine::Simulation;
 pub use lock_model::LockAlgorithm;
 pub use machine::MachineConfig;
-pub use stats::SimResult;
+pub use stats::{ScheduleResult, SimResult};
 pub use workload::Workload;

@@ -46,6 +46,25 @@ pub struct SimResult {
     pub locks: Vec<LockStats>,
 }
 
+/// The result of one open-loop run ([`crate::Simulation::run_schedule`]).
+#[derive(Debug, Clone, Default)]
+pub struct ScheduleResult {
+    /// Sojourn (arrival to completion) of each request, in schedule order,
+    /// in nanoseconds.
+    pub sojourns_ns: Vec<u64>,
+    /// Requests each thread served.
+    pub served_per_worker: Vec<u64>,
+    /// Sum of the in-system counts (arrived, not completed) sampled at each
+    /// arrival, the arriving request included.
+    pub depth_sum: u128,
+    /// Number of in-system samples: one per arrival.
+    pub depth_samples: u64,
+    /// Largest sampled in-system count.
+    pub depth_max: u64,
+    /// Virtual time of the last completion, in nanoseconds.
+    pub last_completion_ns: u64,
+}
+
 impl SimResult {
     /// Throughput in operations per microsecond (the y-axis of most figures).
     pub fn throughput_ops_per_us(&self) -> f64 {
